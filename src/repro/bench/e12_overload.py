@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.robust.chaos import run_overload
+from repro.scenarios import run_chaos
 
 #: Control-plane p99 budget the adaptive stack must honour (seconds).
 CONTROL_P99_BOUND = 0.5
@@ -44,7 +44,8 @@ def overload_goodput(
     rows: List[Dict] = []
     for saturation in saturations:
         for adaptive in (False, True):
-            r = run_overload(
+            r = run_chaos(
+                "overload",
                 seed,
                 saturation=saturation,
                 adaptive=adaptive,

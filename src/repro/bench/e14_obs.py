@@ -37,10 +37,11 @@ CONFIGS: Tuple[Tuple[str, Optional[float]], ...] = (
 
 def _overload_workload(seed: int, obs_sample: Optional[float], quick: bool):
     """The E12 overload scenario at 2x saturation; returns the sim."""
-    from repro.robust.chaos import run_overload
+    from repro.scenarios import run_chaos
 
     holder: Dict = {}
-    run_overload(
+    run_chaos(
+        "overload",
         seed,
         saturation=2.0,
         duration=10.0 if quick else 20.0,

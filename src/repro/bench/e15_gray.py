@@ -1,6 +1,6 @@
 """E15 — gray-failure detection: differential health vs heartbeat-only.
 
-The gray chaos scenario (:func:`repro.robust.chaos.run_gray`) drives the
+The gray chaos scenario (:mod:`repro.scenarios.gray`) drives the
 dual-homed chaos site through four simultaneous gray faults — a zombie
 RC replica (CPU crawls, daemon heartbeats fine), a worker with ~30s of
 clock skew, a bit-flipping segment, and a one-way core link cut — while
@@ -36,13 +36,13 @@ CONFIGS = (("differential", True), ("heartbeat-only", False))
 def gray_goodput(seeds: Sequence[int] = (1, 2, 3),
                  duration: float = 40.0) -> List[Dict]:
     """Run the E15 matrix; one metrics row per (config, seed)."""
-    from repro.robust.chaos import run_gray
+    from repro.scenarios import run_chaos
 
     rows: List[Dict] = []
     for cname, differential in CONFIGS:
         for seed in seeds:
-            report = run_gray(seed, duration=duration,
-                              differential=differential, flight=False)
+            report = run_chaos("gray", seed, duration=duration,
+                               differential=differential, flight=False)
             det = report["detection_s"]
             rows.append({
                 "config": cname,

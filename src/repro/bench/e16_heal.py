@@ -1,7 +1,7 @@
 """E16 — partition-heal reconvergence: bounded anti-entropy vs one blob.
 
-The partition-heal scenario (:func:`repro.robust.chaos.run_partition_heal`)
-splits the replicated catalog ``{c2} | {c0, c1}`` for a minute of
+The partition-heal scenario (:mod:`repro.scenarios.heal`) splits the
+replicated catalog ``{c2} | {c0, c1}`` for a minute of
 sustained per-key write/delete load — far past the replicas' staleness
 horizon, so the majority side compacts its logs while the minority
 diverges — then heals the cut and watches anti-entropy repair it.
@@ -74,16 +74,16 @@ def _row(config: str, report: Dict) -> Dict:
 def heal_reconvergence(seeds: Sequence[int] = (1, 2, 3),
                        duration: float = 100.0) -> List[Dict]:
     """Run the E16 matrix; one metrics row per (config, seed)."""
-    from repro.robust.chaos import run_partition_heal
+    from repro.scenarios import run_chaos
 
     rows: List[Dict] = []
     for cname, bounded in CONFIGS:
         for seed in seeds:
-            report = run_partition_heal(seed, duration=duration,
-                                        bounded=bounded, flight=False, **LOAD)
+            report = run_chaos("heal", seed, duration=duration,
+                               bounded=bounded, flight=False, **LOAD)
             rows.append(_row(cname, report))
     for seed in seeds:
-        report = run_partition_heal(seed, blackout=True, flight=False, **LOAD)
+        report = run_chaos("heal", seed, blackout=True, flight=False, **LOAD)
         rows.append(_row("blackout", report))
     return rows
 

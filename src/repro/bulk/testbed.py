@@ -14,6 +14,9 @@ from typing import Callable, List, Optional, Tuple
 from repro.bulk.chunks import DEFAULT_CHUNK_SIZE
 from repro.core.environment import SnipeEnvironment
 
+#: The origin host on the backbone.
+ROOT = "root"
+
 
 def build_bulk_site(
     seed: int = 0,
@@ -32,7 +35,7 @@ def build_bulk_site(
     """
     env = SnipeEnvironment(seed=seed, secret=secret)
     env.add_segment("backbone")
-    root = "root"
+    root = ROOT
     env.add_host(root, segments=["backbone"])
     dests: List[str] = []
     for r in range(racks):

@@ -15,12 +15,12 @@ package adds the three missing pieces of a model checker on top of it:
   URN-addressed message streams (:class:`DeliveryOracle`), and a
   single-owner model for Guardian restarts — never two live, unfenced
   incarnations of one URN (:class:`SingleOwnerOracle`);
-* **search and shrinking** — :func:`run_check` drives a seeded workload
-  + fault plan under an explored schedule; ``python -m repro check
-  sweep`` searches seeds; on a violation, :func:`minimize`
-  delta-debugs the fault timeline (and drops the tie permutation when
-  it is not needed) down to a minimized trace that ``python -m repro
-  check replay`` re-fails deterministically.
+* **search and shrinking** — :func:`run_check` drives one of the
+  :mod:`repro.scenarios` (seeded workload + fault plan) under an
+  explored schedule; ``python -m repro check sweep`` searches seeds;
+  on a violation, :func:`minimize` delta-debugs the fault timeline (and
+  drops the tie permutation when it is not needed) down to a minimized
+  trace that ``python -m repro check replay`` re-fails deterministically.
 
 Deliberately seeded bugs (``--bug``, see :data:`BUGS`) exist to prove
 the oracles can catch what they claim to catch.
@@ -32,14 +32,12 @@ from repro.check.explore import (
     FaultEvent,
     apply_fault_plan,
     run_check,
-    sample_fault_plan,
     seeded_bug,
 )
 from repro.check.oracles import (
     ConvergenceOracle,
     DeliveryOracle,
     LwwMap,
-    ProbeBus,
     SingleOwnerOracle,
     Violation,
     lww_merge,
@@ -53,7 +51,6 @@ __all__ = [
     "ExplorationScheduler",
     "FaultEvent",
     "LwwMap",
-    "ProbeBus",
     "SingleOwnerOracle",
     "Violation",
     "apply_fault_plan",
@@ -63,7 +60,6 @@ __all__ = [
     "minimize",
     "replay_trace",
     "run_check",
-    "sample_fault_plan",
     "seeded_bug",
     "write_trace",
 ]

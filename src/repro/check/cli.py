@@ -17,32 +17,22 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.check.explore import BUGS, DEFAULT_PARAMS, FaultEvent, run_check
+from repro.check.explore import BUGS, FaultEvent, run_check
 from repro.check.shrink import load_trace, minimize, replay_trace, write_trace
+from repro.scenarios import CHECK_DEFAULTS, SCENARIOS
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario",
-                   choices=("faults", "overload", "bulk", "gray", "heal",
-                            "shard"),
-                   default="faults",
-                   help="faults: crash/partition chaos (default); "
-                        "overload: saturation + degradation, no crashes; "
-                        "bulk: relay-tree distribution with a poisoned "
-                        "source and crashing fetchers; "
-                        "gray: asymmetric cuts, lossy/corrupting links, "
-                        "clock skew, zombie hosts — nothing fail-stop; "
-                        "heal: a replica partitioned past the compaction "
-                        "horizon under write/delete load, then healed; "
-                        "shard: federated catalog splitting under load "
-                        "with crashes and cuts racing the migration")
-    p.add_argument("--workers", type=int, default=DEFAULT_PARAMS["n_workers"],
-                   help=f"worker hosts (default {DEFAULT_PARAMS['n_workers']})")
-    p.add_argument("--steps", type=int, default=DEFAULT_PARAMS["total"],
-                   help=f"work units per task (default {DEFAULT_PARAMS['total']})")
-    p.add_argument("--duration", type=float, default=DEFAULT_PARAMS["duration"],
+    p.add_argument("--scenario", choices=list(SCENARIOS), default="faults",
+                   help="; ".join(f"{sc.name}: {sc.summary}"
+                                  for sc in SCENARIOS.values()))
+    p.add_argument("--workers", type=int, default=CHECK_DEFAULTS["n_workers"],
+                   help=f"worker hosts (default {CHECK_DEFAULTS['n_workers']})")
+    p.add_argument("--steps", type=int, default=CHECK_DEFAULTS["total"],
+                   help=f"work units per task (default {CHECK_DEFAULTS['total']})")
+    p.add_argument("--duration", type=float, default=CHECK_DEFAULTS["duration"],
                    help="simulated-seconds budget per run "
-                        f"(default {DEFAULT_PARAMS['duration']:.0f})")
+                        f"(default {CHECK_DEFAULTS['duration']:.0f})")
     p.add_argument("--no-explore", action="store_true",
                    help="keep the kernel's FIFO tie-breaking (fault timing "
                         "is still the seeded plan)")
@@ -60,28 +50,15 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _params(args) -> dict:
-    return {
-        "n_workers": args.workers,
-        "total": args.steps,
-        "step": DEFAULT_PARAMS["step"],
-        "duration": args.duration,
-        "saturation": DEFAULT_PARAMS["saturation"],
-        "service_time": DEFAULT_PARAMS["service_time"],
-        "obs_sample": args.obs_sample,
-    }
+    return {**CHECK_DEFAULTS, "n_workers": args.workers, "total": args.steps,
+            "duration": args.duration, "obs_sample": args.obs_sample}
 
 
 def _describe(report: dict) -> str:
     extra = (f" reorders={report['schedule_reordered']}"
              if report["explore"] else " (FIFO schedule)")
-    if report.get("scenario") == "shard":
-        return (f"splits={report['splits']} epoch={report['epoch']} "
-                f"shards={len(report['shards'])} writes={report['delivered']} "
-                f"retired={report['completed']}{extra} "
-                f"t={report['finished_at']:.1f}s")
-    return (f"completed={report['completed']}/{report['workers']} "
-            f"recoveries={report['recoveries']} delivered={report['delivered']}"
-            f"{extra} t={report['finished_at']:.1f}s")
+    return (f"{SCENARIOS[report['scenario']].describe(report)}{extra} "
+            f"t={report['finished_at']:.1f}s")
 
 
 def _handle_failure(report: dict, args, params: dict) -> None:

@@ -1,5 +1,7 @@
-"""Schedule exploration: seeded tie-breaking, explicit fault plans, and
-the check harness that runs a workload under oracle supervision.
+"""Schedule exploration: seeded tie-breaking, explicit fault plans,
+deliberately seeded bugs, and :func:`run_check`, the entry point of a
+model-checking run (the scenarios themselves live in
+:mod:`repro.scenarios`).
 
 One integer — the seed — fully determines a run: it picks the fault
 plan (an explicit, replayable list of :class:`FaultEvent`), seeds every
@@ -13,43 +15,17 @@ execution bit-for-bit, which is what makes shrinking
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.bulk.fetch import BulkFetcher
-from repro.check.oracles import (
-    ChunkOracle,
-    CompactionOracle,
-    ConvergenceOracle,
-    CorruptionOracle,
-    DeliveryOracle,
-    FalseDeathOracle,
-    ProbeBus,
-    ResurrectionOracle,
-    ShardOracle,
-    SingleOwnerOracle,
-    Violation,
-)
 from repro.core.process import SnipeContext
-from repro.daemon.tasks import TaskSpec
 from repro.guardian.guardian import Guardian
-from repro.obs.flight import FlightRecorder
 from repro.rcds.records import RCStore
 from repro.rcds.shard.server import ShardRCServer
 from repro.robust.health import HealthBoard
 from repro.transport.srudp import SrudpEndpoint
-from repro.robust.chaos import (
-    _instrument_sim,
-    build_chaos_env,
-    build_shard_env,
-    install_chaos_programs,
-    install_overload_worker,
-    new_coll_state,
-    start_heal_sessions,
-    start_load_generators,
-    start_shard_sessions,
-)
 
 
 class ExplorationScheduler:
@@ -164,153 +140,6 @@ def apply_fault_plan(env, plan: List[FaultEvent]) -> None:
             raise ValueError(f"unknown fault kind {ev.kind!r}")
 
 
-def sample_fault_plan(
-    scenario: str, seed: int, workers: List[str], horizon: float
-) -> List[FaultEvent]:
-    """Seeded explicit fault plan for a scenario.
-
-    ``faults`` always includes at least one worker *partition* (the
-    host survives — only a correct fencing chain keeps the zombie from
-    double-owning its URN) plus a seeded mix of crashes and further
-    partitions. ``overload`` schedules degradation windows — congestion
-    on the core LAN and CPU-starved workers — on top of the bulk load.
-    All times are rounded so plans serialize cleanly.
-    """
-    rng = random.Random(0xFA017 ^ (seed * 0x61C88647))
-    r2 = lambda x: round(x, 2)  # noqa: E731
-    plan: List[FaultEvent] = []
-    if scenario == "faults":
-        # The mandatory partition must outlast the Guardian's detection
-        # horizon (lease lapse + grace + probe-confirmed death), or no
-        # recovery ever starts while the victim is still alive and the
-        # zombie/fencing chain goes untested. Probe confirmation added
-        # several seconds to that horizon; durations shorter than ~12s
-        # heal before a death is ever declared.
-        w = workers[rng.randrange(len(workers))]
-        plan.append(FaultEvent("partition", f"s-{w}",
-                               r2(rng.uniform(3.0, horizon * 0.4)),
-                               r2(rng.uniform(14.0, 20.0))))
-        for _ in range(rng.randrange(1, 4)):
-            w = workers[rng.randrange(len(workers))]
-            kind = rng.choice(("crash", "partition"))
-            target = w if kind == "crash" else f"s-{w}"
-            plan.append(FaultEvent(kind, target,
-                                   r2(rng.uniform(3.0, horizon * 0.6)),
-                                   r2(rng.uniform(2.0, 8.0))))
-    elif scenario == "overload":
-        plan.append(FaultEvent("congest", "core-lan",
-                               r2(rng.uniform(4.0, 7.0)),
-                               r2(rng.uniform(6.0, 10.0)),
-                               factor=round(rng.uniform(2.0, 4.0), 1)))
-        for w in workers[: max(1, len(workers) // 2)]:
-            plan.append(FaultEvent("slow", w,
-                                   r2(rng.uniform(5.0, 9.0)),
-                                   r2(rng.uniform(4.0, 8.0)),
-                                   factor=round(rng.uniform(2.0, 5.0), 1)))
-    elif scenario == "bulk":
-        # Crash fetching hosts while the object is in flight (transfers
-        # are sub-second to a-few-seconds, so faults land early).
-        for _ in range(1 + rng.randrange(2)):
-            w = workers[rng.randrange(len(workers))]
-            plan.append(FaultEvent("crash", w,
-                                   r2(rng.uniform(0.1, min(3.0, horizon))),
-                                   r2(rng.uniform(0.5, 2.0))))
-    elif scenario == "gray":
-        plan = _sample_gray_plan(rng, workers, horizon)
-    elif scenario == "heal":
-        # One catalog replica isolated from the other two for longer than
-        # the stability window (peer_stale_after + compact_interval), so
-        # log compaction provably runs *while the cut is up* and the heal
-        # has to cross the compaction horizon — gapped batches, snapshot
-        # catch-up, and tombstone GC discipline are all on the path.
-        iso = ("c0", "c1", "c2")[rng.randrange(3)]
-        rest = ",".join(r for r in ("c0", "c1", "c2") if r != iso)
-        plan.append(FaultEvent("split", f"{iso}|{rest}",
-                               r2(rng.uniform(4.0, 10.0)),
-                               r2(rng.uniform(12.0, 18.0))))
-    elif scenario == "shard":
-        # A core host carrying shard replicas crashes mid-migration (c0
-        # stays up: it serves the director's own RC client), and one
-        # worker segment is cut so its facade re-routes on a stale map
-        # after the heal. Faults land while the write load is forcing
-        # splits, so every run races handoff against them.
-        core = ("c1", "c2")[rng.randrange(2)]
-        plan.append(FaultEvent("crash", core,
-                               r2(rng.uniform(8.0, horizon * 0.6)),
-                               r2(rng.uniform(4.0, 8.0))))
-        w = workers[rng.randrange(len(workers))]
-        plan.append(FaultEvent("partition", f"s-{w}",
-                               r2(rng.uniform(8.0, horizon * 0.7)),
-                               r2(rng.uniform(4.0, 8.0))))
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return sorted(plan, key=lambda e: (e.t, e.kind, e.target))
-
-
-def _sample_gray_plan(rng: random.Random, workers: List[str],
-                      horizon: float) -> List[FaultEvent]:
-    """Gray faults: nothing here bumps the topology version or fully cuts
-    a host off — every fault is the kind a lease-based detector misreads.
-
-    The roles are kept on *disjoint* workers deliberately: a clock-skewed
-    worker whose lease always looks lapsed must stay probe-reachable
-    (overlaying a lossy window on the same host would turn an honest
-    probe failure into an unavoidable "false" death and make clean seeds
-    flaky). One-way cuts run core→worker only: the worker's lease
-    renewals still arrive, so the Guardian never needs to probe through
-    the cut direction — its replies are simply eaten, which is exactly
-    the retransmission/dup stress srudp must absorb.
-    """
-    r2 = lambda x: round(x, 2)  # noqa: E731
-    ws = list(workers)
-    rng.shuffle(ws)
-    skew_w, oneway_w = ws[0], ws[1 % len(ws)]
-    rest = ws[2:] or ws[1:]
-    plan: List[FaultEvent] = []
-    # Lossy/duplicating/reordering windows on the remaining segments.
-    for w in rest:
-        plan.append(FaultEvent(
-            "impair", f"s-{w}",
-            r2(rng.uniform(3.0, horizon * 0.5)), r2(rng.uniform(4.0, 8.0)),
-            extra=(("dup", round(rng.uniform(0.05, 0.15), 2)),
-                   ("loss", round(rng.uniform(0.05, 0.2), 2)),
-                   ("reorder", round(rng.uniform(0.05, 0.2), 2))),
-        ))
-    # One bit-flip window: every gray run exercises digest verification.
-    cw = rest[rng.randrange(len(rest))]
-    plan.append(FaultEvent(
-        "impair", f"s-{cw}",
-        r2(rng.uniform(4.0, horizon * 0.5)), r2(rng.uniform(3.0, 6.0)),
-        extra=(("corrupt", round(rng.uniform(0.1, 0.25), 2)),),
-    ))
-    # Clock skew: the worker's lease stamps land far in the past, so its
-    # lease looks permanently lapsed — only a probe-before-death keeps
-    # the Guardian from killing a live host.
-    # Early and long: the window must overlap the running workload, or
-    # there is no RUNNING task whose death the naive detector could
-    # wrongly declare.
-    plan.append(FaultEvent(
-        "skew", skew_w,
-        r2(rng.uniform(2.5, 5.0)), r2(rng.uniform(15.0, 25.0)),
-        extra=(("offset", -round(rng.uniform(15.0, 40.0), 1)),),
-    ))
-    # Asymmetric cut, replies-only direction (leases keep flowing).
-    plan.append(FaultEvent(
-        "oneway", f"gw->{oneway_w}",
-        r2(rng.uniform(3.0, horizon * 0.5)), r2(rng.uniform(3.0, 6.0)),
-    ))
-    # Sometimes: a short checkpoint-bitrot window followed by a genuine
-    # crash of the same worker — recovery must reject the torn record
-    # and fall back to the previous good version.
-    if rng.random() < 0.6:
-        cv = rest[rng.randrange(len(rest))]
-        t0 = r2(rng.uniform(6.0, horizon * 0.6))
-        plan.append(FaultEvent("ckptrot", cv, t0, 0.4))
-        plan.append(FaultEvent("crash", cv, r2(t0 + 0.45),
-                               r2(rng.uniform(2.0, 5.0))))
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Deliberately seeded bugs
 # ---------------------------------------------------------------------------
@@ -362,49 +191,30 @@ _BUG_HOOKS = {
 
 
 @contextmanager
-def seeded_bug(name: Optional[str]):
-    """Disable one safety mechanism for the duration of the block."""
-    if name is None:
-        yield
-        return
-    if name not in _BUG_HOOKS:
-        raise ValueError(f"unknown bug {name!r} (known: {sorted(_BUG_HOOKS)})")
-    cls, attr = _BUG_HOOKS[name]
+def toggled(cls: type, attr: str, value: Any):
+    """Set the class-attribute switch ``cls.attr`` to *value* for the
+    duration of the block (the safety mechanisms are such switches)."""
     saved = getattr(cls, attr)
-    setattr(cls, attr, False)
+    setattr(cls, attr, value)
     try:
         yield
     finally:
         setattr(cls, attr, saved)
 
 
+def seeded_bug(name: Optional[str]):
+    """Disable one safety mechanism for the duration of the block."""
+    if name is None:
+        return nullcontext()
+    if name not in _BUG_HOOKS:
+        raise ValueError(f"unknown bug {name!r} (known: {sorted(_BUG_HOOKS)})")
+    cls, attr = _BUG_HOOKS[name]
+    return toggled(cls, attr, False)
+
+
 # ---------------------------------------------------------------------------
-# The check harness
+# The check harness entry point
 # ---------------------------------------------------------------------------
-
-#: Virtual seconds between oracle sweeps of the run loop.
-CHUNK = 0.5
-
-
-def _flight_on_failure(flight: FlightRecorder,
-                       violations: List[Violation]) -> Optional[List[Dict]]:
-    """Stamp the violations onto the flight tape and snapshot it — but only
-    on failure; a clean run ships no tape."""
-    if not violations:
-        return None
-    for v in violations:
-        flight.note_violation(v.oracle, v.time, v.detail)
-    return flight.snapshot()
-
-DEFAULT_PARAMS = {
-    "n_workers": 3,
-    "total": 16,
-    "step": 0.2,
-    "duration": 60.0,
-    "saturation": 3.0,
-    "service_time": 0.05,
-}
-
 
 def run_check(
     scenario: str = "faults",
@@ -412,479 +222,24 @@ def run_check(
     bug: Optional[str] = None,
     plan: Optional[List[FaultEvent]] = None,
     explore: bool = True,
-    n_workers: int = 3,
-    total: int = 16,
-    step: float = 0.2,
-    duration: float = 60.0,
-    saturation: float = 3.0,
-    service_time: float = 0.05,
     obs_sample: Optional[float] = None,
+    **params: Any,
 ) -> Dict:
     """One model-checking run; returns a report dict (``report["ok"]``).
 
-    Builds the chaos star site, attaches the probe bus and all three
-    oracles, runs the checkpointing workload under the seeded fault
-    *plan* (sampled from the seed when not given) with tie-permutation
-    *explore* enabled, and sweeps the oracles every :data:`CHUNK`
-    virtual seconds. The run stops at the first violation — everything
-    after it is noise for shrinking purposes.
-
-    Violations are *recorded*, never raised: several components
-    legitimately wrap their loops in broad ``except`` clauses, so an
-    oracle exception could be swallowed at the point of detection. A
-    process crash escaping the kernel (strict mode) is itself recorded
-    as a ``process-crash`` violation.
+    Runs *scenario* (see :mod:`repro.scenarios`) under the seeded fault
+    *plan* (sampled from the seed when not given), with tie permutation
+    *explore* enabled and the safety mechanism *bug* disabled. *params*
+    are the workload knobs of
+    :data:`repro.scenarios.harness.CHECK_DEFAULTS` (``n_workers``,
+    ``total``, ``step``, ``duration``, ``saturation``,
+    ``service_time``); the report records them under ``params`` so a
+    trace can replay the run.
     """
-    if scenario not in ("faults", "overload", "bulk", "gray", "heal", "shard"):
-        raise ValueError(f"unknown scenario {scenario!r}")
+    from repro.scenarios import get, harness  # the scenarios build on this module
+
     with seeded_bug(bug):
-        if scenario == "bulk":
-            report = _run_bulk(seed, plan, explore, duration, obs_sample)
-        elif scenario == "shard":
-            report = _run_shard(seed, plan, explore, n_workers, duration,
-                                obs_sample)
-        else:
-            report = _run(scenario, seed, plan, explore, n_workers, total, step,
-                          duration, saturation, service_time, obs_sample)
+        report = harness.run_check(get(scenario), seed, plan, explore, obs_sample,
+                                   **params)
     report["bug"] = bug
-    report["params"] = {
-        "n_workers": n_workers, "total": total, "step": step,
-        "duration": duration, "saturation": saturation,
-        "service_time": service_time, "obs_sample": obs_sample,
-    }
     return report
-
-
-def _run(scenario, seed, plan, explore, n_workers, total, step, duration,
-         saturation, service_time, obs_sample=None):
-    if scenario == "overload":
-        def configure(sim):
-            # Bounded server queues small enough that overload actually
-            # bites (cf. run_overload); the adaptive controls stay on —
-            # the oracles check safety, not the overload treatment.
-            sim.overload.server_bulk_capacity = 128
-
-        env, workers = build_chaos_env(
-            seed, n_workers, rc_service_time=service_time, configure=configure
-        )
-    elif scenario == "heal":
-        # Aggressive compaction, so the horizon provably moves while one
-        # replica is cut off and anti-entropy must heal across it (via
-        # gap-refusing batches and snapshot catch-up) rather than replay
-        # a complete log.
-        env, workers = build_chaos_env(seed, n_workers, rc_server_kw=dict(
-            compact_interval=1.0, peer_stale_after=6.0, max_sync_records=32,
-            snapshot_every=64, log_keep_tail=8))
-    else:
-        env, workers = build_chaos_env(seed, n_workers)
-    sim = env.sim
-    _instrument_sim(sim, None, obs_sample)
-
-    if plan is None:
-        plan = sample_fault_plan(scenario, seed, workers, horizon=duration * 0.5)
-
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    convergence = ConvergenceOracle(sim)
-    convergence.attach(env)
-    bus.subscribe(convergence.on_probe)
-    delivery = DeliveryOracle(sim)
-    owner = SingleOwnerOracle(sim)
-    chunks = ChunkOracle(sim)  # inert unless something moves bulk data
-    corruption = CorruptionOracle(sim)
-    bus.subscribe(delivery.on_probe)
-    bus.subscribe(owner.on_probe)
-    bus.subscribe(chunks.on_probe)
-    bus.subscribe(corruption.on_probe)
-    oracles = [convergence, delivery, owner, chunks, corruption]
-    resurrection = compaction = None
-    if scenario == "heal":
-        # Attach order matters: ConvergenceOracle.attach *sets* the
-        # stores' on_apply slot; these two chain onto it.
-        resurrection = ResurrectionOracle(sim)
-        resurrection.attach(env)
-        compaction = CompactionOracle(sim)
-        compaction.attach(env)
-        oracles += [resurrection, compaction]
-    if scenario == "gray":
-        # Only gray plans promise every non-crashed host stays reachable
-        # over *some* path; a full partition (faults scenario) makes a
-        # lease-inferred death legitimate, so the oracle stays out there.
-        spans = [(e.target, e.t, e.t + e.duration + 20.0)
-                 for e in plan if e.kind == "crash"]
-        falsedeath = FalseDeathOracle(
-            sim, crashed=lambda h, t: any(
-                h == c and a <= t <= b for c, a, b in spans),
-        )
-        bus.subscribe(falsedeath.on_probe)
-        oracles.append(falsedeath)
-
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
-
-    acked: Dict[str, int] = {}
-    coll_state = new_coll_state()
-    install_chaos_programs(env, acked, coll_state)
-    wstats = {"steps": 0, "send_failures": 0, "ckpt_failures": 0}
-    if scenario == "overload":
-        install_overload_worker(env, wstats)
-
-    env.settle(2.0)
-    coll = env.spawn(TaskSpec(program="chaos-collector", name="check-coll"), on="c0")
-    program = "overload-worker" if scenario == "overload" else "chaos-worker"
-    urns = []
-    for i, w in enumerate(workers):
-        spec = TaskSpec(
-            program=program, arch="worker", name=f"check-w{i}",
-            params={"total": total, "ckpt_every": 3,
-                    "collector_urn": coll.urn, "step": step},
-        )
-        urns.append(env.spawn(spec, on=w).urn)
-
-    if scenario == "overload":
-        capacity = len(env.rc_replicas) / service_time
-        start_load_generators(env, workers, saturation * capacity,
-                              4.0, duration - 6.0)
-
-    heal_tracked = None
-    heal_end = 0.0
-    if scenario == "heal":
-        # Per-key write/delete load pinned to fixed replicas, with the
-        # retirements (write-here/delete-there pairs) seeded *inside*
-        # the split window so the tombstone and the stale live write
-        # land on opposite sides of the cut.
-        splits = [e for e in plan if e.kind == "split"]
-        if splits:
-            retire_window = (splits[0].t + 0.35 * splits[0].duration,
-                             splits[0].t + 0.65 * splits[0].duration)
-        else:  # a shrunk plan may have dropped the split entirely
-            retire_window = (duration * 0.2, duration * 0.3)
-        heal_end = duration * 0.55
-        heal_tracked = start_heal_sessions(
-            env, workers, 3.0, heal_end, n_keys=18, interval=0.35,
-            value_pad=256, retire_frac=0.3, retire_window=retire_window)
-
-    apply_fault_plan(env, plan)
-    fault_end = max((e.t + e.duration for e in plan), default=0.0)
-
-    violations: List[Violation] = []
-    crashed = False
-
-    def sweep() -> None:
-        for oracle in oracles:
-            violations.extend(oracle.violations)
-            oracle.violations = []
-
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        sweep()
-        if violations:
-            break
-        if (scenario in ("faults", "gray", "heal")
-                and len(coll_state["done"]) == len(urns)
-                and sim.now > fault_end + 6.0
-                and sim.now > heal_end + 6.0):
-            break
-
-    completed = sum(1 for u in urns if coll_state["done"].get(u) == total)
-    if not violations and not crashed:
-        try:
-            env.settle(4.0)  # drain queues, let anti-entropy converge
-        except Exception as exc:
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-        sweep()
-        completed = sum(1 for u in urns if coll_state["done"].get(u) == total)
-        if not violations and scenario in ("faults", "gray", "heal"):
-            if completed == len(urns):
-                convergence.check_quiescent(urns)
-            else:
-                violations.append(Violation(
-                    "liveness", sim.now,
-                    f"only {completed}/{len(urns)} workers completed within "
-                    f"the {duration:.0f}s budget",
-                ))
-            sweep()
-        if not violations and scenario == "heal":
-            resurrection.check_quiescent()
-            compaction.check_quiescent(prefix="snipe://heal/")
-            for uri in sorted(heal_tracked["retired"]):
-                holders = sorted(r for r, srv in env.rc_servers.items()
-                                 if srv.store.lookup(uri))
-                if holders:
-                    violations.append(Violation(
-                        "no-resurrection", sim.now,
-                        f"retired key {uri} still visible on "
-                        f"{', '.join(holders)} after its delete was "
-                        f"acknowledged",
-                    ))
-            sweep()
-
-    recoveries = sum(len(g.recoveries) for g in env.guardians.values())
-    heal = None
-    if heal_tracked is not None:
-        heal = {
-            "writes_ok": heal_tracked["writes_ok"],
-            "writes_failed": heal_tracked["writes_failed"],
-            "deletes_ok": heal_tracked["deletes_ok"],
-            "deletes_failed": heal_tracked["deletes_failed"],
-            "retired": len(heal_tracked["retired"]),
-            "compactions": sum(
-                s.store.compactions for s in env.rc_servers.values()),
-            "tombstones_collected": sum(
-                s.store.tombstones_collected for s in env.rc_servers.values()),
-            "snapshot_catchups": sum(
-                s.snapshot_catchups for s in env.rc_servers.values()),
-        }
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": completed,
-        "workers": len(urns),
-        "recoveries": recoveries,
-        "delivered": delivery.delivered,
-        "heal": heal,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
-    }
-
-
-def _run_shard(seed, plan, explore, n_workers, duration, obs_sample=None):
-    """Model-check the sharded catalog: write/delete load through the
-    facade forces splits while a core host crashes and a worker segment
-    is cut, with the shard-ownership oracle judging every locally
-    accepted record against the replica's own adopted map and the
-    convergence oracle mirroring every replica (root and shard groups
-    alike). At quiescence the final map must place every live name in
-    exactly one group — in particular no name on both sides of a split
-    boundary — with each group internally converged."""
-    env, workers = build_shard_env(seed, n_workers=min(n_workers, 3),
-                                   split_threshold=24)
-    sim = env.sim
-    mgr = env.shard_manager
-    _instrument_sim(sim, None, obs_sample)
-
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    convergence = ConvergenceOracle(sim)
-    convergence.attach(env)
-    bus.subscribe(convergence.on_probe)
-    shard = ShardOracle(sim)
-    shard.attach(env)
-    bus.subscribe(shard.on_probe)
-    oracles = [convergence, shard]
-
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
-
-    env.settle(2.0)
-    fault_stop = duration * 0.5
-    t1 = fault_stop + 10.0
-    load = start_shard_sessions(
-        env, workers, 3.0, t1, n_keys=48, interval=0.25,
-        retire_window=(fault_stop * 0.5, fault_stop * 0.9))
-
-    if plan is None:
-        plan = sample_fault_plan("shard", seed, workers, horizon=duration * 0.5)
-    apply_fault_plan(env, plan)
-
-    violations: List[Violation] = []
-    crashed = False
-
-    def sweep() -> None:
-        for oracle in oracles:
-            violations.extend(oracle.violations)
-            oracle.violations = []
-
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        sweep()
-        if violations:
-            break
-
-    if not violations and not crashed:
-        try:
-            env.settle(12.0)  # anti-entropy + handoff janitors drain
-        except Exception as exc:
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-        sweep()
-        if not violations:
-            if mgr.splits < 1:
-                violations.append(Violation(
-                    "liveness", sim.now,
-                    f"the load never forced a split (threshold 24, "
-                    f"{load['writes_ok']} writes acked) — the scenario "
-                    f"exercised no migration",
-                ))
-            shard.check_quiescent(mgr)
-            sweep()
-
-    return {
-        "scenario": "shard",
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": len(load["retired"]),
-        "workers": len(workers),
-        "recoveries": 0,
-        "delivered": load["writes_ok"],
-        "splits": mgr.splits,
-        "epoch": mgr.map.epoch,
-        "shards": sorted(mgr.map.shards),
-        "local_accepts": shard.local_accepts,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
-    }
-
-
-def _run_bulk(seed, plan, explore, duration, obs_sample=None):
-    """Model-check the bulk data plane: a relay-tree distribution under
-    crashing fetchers and one poisoned source, with the chunk-integrity
-    oracle watching every commit.
-
-    The poisoner corrupts one chunk in the first relay's store the
-    instant that relay commits it (synchronously, from the probe), so
-    every run exercises the per-chunk verification path: a correct
-    fetcher quarantines the poisoned source and re-pulls the chunk from
-    a clean one; under the seeded ``no-chunk-verify`` bug the corrupt
-    bytes are committed and the oracle flags the commit."""
-    from repro.bulk.testbed import build_bulk_site, make_payload
-
-    chunk_size = 16384
-    object_kb = 512
-    env, root, dests = build_bulk_site(seed=seed, racks=2, per_rack=3)
-    sim = env.sim
-    _instrument_sim(sim, None, obs_sample)
-
-    bus = ProbeBus()
-    sim.probes = bus
-    flight = FlightRecorder(sim).attach(bus)
-    chunks = ChunkOracle(sim)
-    bus.subscribe(chunks.on_probe)
-
-    # Poison the first fetched commit, synchronously at commit time —
-    # before the committing host can have served that chunk onward.
-    poisoned = {}
-
-    def poisoner(kind, f):
-        if kind != "bulk.chunk" or poisoned:
-            return
-        svc = env.bulk_services.get(f["host"])
-        if svc is None:
-            return
-        data = svc.store.get(f["name"], f["seq"])
-        svc.store._chunks[f["name"]][f["seq"]] = b"\x00poison\x00" + data[8:]
-        poisoned[(f["host"], f["seq"])] = sim.now
-
-    bus.subscribe(poisoner)
-
-    scheduler = ExplorationScheduler(seed) if explore else None
-    if scheduler is not None:
-        sim.set_scheduler(scheduler)
-
-    if plan is None:
-        plan = sample_fault_plan("bulk", seed, dests, horizon=duration * 0.5)
-    apply_fault_plan(env, plan)
-
-    payload = make_payload(object_kb * 1024, chunk_size)
-    dist = env.bulk_distributor(root)
-    proc = dist.distribute("check-obj", payload, dests,
-                           chunk_size=chunk_size, strategy="tree",
-                           deadline=duration)
-
-    violations: List[Violation] = []
-    crashed = False
-    report = None
-    while sim.now < duration:
-        try:
-            env.run(until=min(sim.now + CHUNK, duration))
-        except Exception as exc:  # strict mode: a component process died
-            violations.append(Violation(
-                "process-crash", sim.now, f"{type(exc).__name__}: {exc}"
-            ))
-            crashed = True
-            break
-        violations.extend(chunks.violations)
-        chunks.violations = []
-        if violations:
-            break
-        if proc.triggered:
-            report = proc.value
-            break
-    if report is None and proc.triggered and proc.ok:
-        report = proc.value
-
-    completed = report["completed"] if report else 0
-    if not violations and not crashed:
-        if report is None:
-            violations.append(Violation(
-                "liveness", sim.now,
-                f"distribution did not finish within the "
-                f"{duration:.0f}s budget",
-            ))
-        elif report["completed"] != len(dests):
-            violations.append(Violation(
-                "liveness", sim.now,
-                f"only {report['completed']}/{len(dests)} hosts completed "
-                f"(failed: {report['failed']})",
-            ))
-        elif not report["all_verified"]:
-            violations.append(Violation(
-                "chunk-integrity", sim.now,
-                "a completed host's whole-object hash did not verify",
-            ))
-        violations.extend(chunks.violations)
-        chunks.violations = []
-
-    crashes = sum(
-        r.get("crashes", 0) for r in (report or {}).get("per_dest", {}).values()
-    )
-    return {
-        "scenario": "bulk",
-        "seed": seed,
-        "explore": explore,
-        "plan": [e.to_dict() for e in plan],
-        "violations": [v.to_dict() for v in violations],
-        "flight": _flight_on_failure(flight, violations),
-        "ok": not violations,
-        "completed": completed,
-        "workers": len(dests),
-        "recoveries": crashes,
-        "delivered": chunks.committed,
-        "poisoned": sorted(f"{h}#{s}" for h, s in poisoned),
-        "chunk_retries": report["chunk_retries"] if report else 0,
-        "schedule_picks": scheduler.picks if scheduler else 0,
-        "schedule_reordered": scheduler.reordered if scheduler else 0,
-        "finished_at": sim.now,
-    }

@@ -56,30 +56,6 @@ class Violation:
         return f"[{self.oracle}] t={self.time:.3f}s {self.detail}"
 
 
-class ProbeBus:
-    """Fan-out for semantic probe events (``sim.probes``).
-
-    Deliberately minimal: subscribers are called synchronously, in
-    subscription order, from inside the emitting component. Oracle
-    callbacks must therefore be O(1) and must never raise — they record
-    violations instead (an exception here would surface inside an
-    unrelated component's ``except`` clause and be swallowed or
-    misattributed).
-    """
-
-    __slots__ = ("_subs",)
-
-    def __init__(self) -> None:
-        self._subs: List[Callable[[str, Dict[str, Any]], None]] = []
-
-    def subscribe(self, fn: Callable[[str, Dict[str, Any]], None]) -> None:
-        self._subs.append(fn)
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        for fn in self._subs:
-            fn(kind, fields)
-
-
 # ---------------------------------------------------------------------------
 # LWW reference model (shared with the property tests)
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 This is the stand-in for the paper's unreliable Internet: experiments E3,
 E5, E7 and E8 use it to kill hosts, cut segments, and partition the
 network, either at fixed times (reproducible scenarios) or as a Poisson
-failure/repair process (availability measurements). The chaos harness
-(:mod:`repro.robust.chaos`) layers seeded schedules of all three on top.
+failure/repair process (availability measurements). The fault
+scenarios (:mod:`repro.scenarios`) layer seeded schedules of all three
+on top.
 
 Concurrent scripts are safe: each host/segment carries a hold *refcount*,
 so a scheduled ``host_down_at`` overlapping ``churn_hosts`` on the same

@@ -41,7 +41,7 @@ import argparse
 import json
 from typing import Callable, List, Optional
 
-from repro.obs.prof import PROFILE_SCENARIOS
+from repro.obs.prof import profile_scenarios
 from repro.obs.report import (
     diff_exports,
     gate_diff,
@@ -238,17 +238,17 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
     import time
 
     from repro.bench.table import format_table
-    from repro.robust.chaos import run_bulk_chaos, run_overload
+    from repro.scenarios import run_chaos
 
     if args.quick:
         workloads = [
-            ("e12", lambda: run_overload(args.seed, saturation=3.0, duration=4.0)),
-            ("e13", lambda: run_bulk_chaos(args.seed, object_kb=128, duration=20.0)),
+            ("e12", lambda: run_chaos("overload", args.seed, saturation=3.0, duration=4.0)),
+            ("e13", lambda: run_chaos("bulk", args.seed, object_kb=128, duration=20.0)),
         ]
     else:
         workloads = [
-            ("e12", lambda: run_overload(args.seed, saturation=3.0, duration=16.0)),
-            ("e13", lambda: run_bulk_chaos(args.seed, object_kb=2048, duration=60.0)),
+            ("e12", lambda: run_chaos("overload", args.seed, saturation=3.0, duration=16.0)),
+            ("e13", lambda: run_chaos("bulk", args.seed, object_kb=2048, duration=60.0)),
         ]
 
     def timed(fn) -> float:
@@ -307,7 +307,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         results = evaluate_slos(load_export(args.export), slos)
         title = f"SLO evaluation: {args.export}"
     else:
-        from repro.robust.chaos import run_overload
+        from repro.scenarios import run_chaos
 
         holder = {}
 
@@ -315,9 +315,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             holder["monitor"] = SloMonitor(sim, slos,
                                            interval=args.interval).attach()
 
-        run_overload(args.seed, saturation=args.saturation,
-                     adaptive=not args.static, duration=args.duration,
-                     instrument=instrument)
+        run_chaos("overload", args.seed, saturation=args.saturation,
+                  adaptive=not args.static, duration=args.duration,
+                  instrument=instrument)
         results = holder["monitor"].results()
         mode = "static baseline" if args.static else "adaptive"
         title = (f"SLO evaluation: overload seed={args.seed} "
@@ -332,6 +332,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
         description="render and diff simulator observability reports",
@@ -366,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_prof = sub.add_parser("profile",
                             help="run a scenario under the kernel profiler")
-    p_prof.add_argument("--scenario", choices=PROFILE_SCENARIOS, default="demo")
+    p_prof.add_argument("--scenario", choices=list(profile_scenarios()), default="demo")
     p_prof.add_argument("--seed", type=int, default=1)
     p_prof.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_profile_<scenario>.json "
@@ -406,13 +408,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_slo = sub.add_parser("slo", help="evaluate SLOs over an overload run "
                                        "or a saved export")
     p_slo.add_argument("--seed", type=int, default=1)
-    p_slo.add_argument("--saturation", type=float, default=5.0,
+    overload = SCENARIOS["overload"].defaults
+    p_slo.add_argument("--saturation", type=float, default=overload["saturation"],
                        help="offered load as a multiple of site capacity "
-                            "(default 5.0)")
+                            f"(default {overload['saturation']})")
     p_slo.add_argument("--static", action="store_true",
                        help="baseline: fixed timeouts, no breakers, no "
                             "priority lanes (the natural SLO breach)")
-    p_slo.add_argument("--duration", type=float, default=32.0)
+    p_slo.add_argument("--duration", type=float, default=overload["duration"])
     p_slo.add_argument("--interval", type=float, default=1.0,
                        help="virtual seconds between in-run SLO samples "
                             "(default 1.0)")

@@ -35,9 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import TimerHandle
 
-#: Scenarios ``profile_scenario`` knows how to run.
-PROFILE_SCENARIOS = ("demo", "chaos", "overload", "bulk")
-
 
 def _module_subsystem(mod: Optional[str]) -> str:
     """``repro.transport.base`` -> ``transport``; anything else, last part."""
@@ -317,22 +314,36 @@ class KernelProfiler:
         return "\n".join(lines)
 
 
+def profile_scenarios() -> Dict[str, Any]:
+    """``obs profile --scenario`` name -> registered scenario (None for the
+    built-in lossy-LAN demo)."""
+    from repro.scenarios import SCENARIOS
+
+    return {"demo": None, **{sc.profile_as: sc for sc in SCENARIOS.values()
+                             if sc.profile_as}}
+
+
 def profile_scenario(scenario: str, seed: int = 1, **kw: Any) -> Dict[str, Any]:
     """Run one scenario under the profiler; returns a result dict.
 
     ``{"scenario", "seed", "ok", "profile", "flame"}`` — ``profile`` is
     :meth:`KernelProfiler.export`, ``flame`` the nested flamegraph JSON.
     """
+    known = profile_scenarios()
+    if scenario not in known:
+        raise ValueError(
+            f"unknown profile scenario {scenario!r} (known: {tuple(known)})"
+        )
+    target = known[scenario]
     prof = KernelProfiler()
-    ok = True
-    if scenario == "demo":
+    if target is None:
         from repro.obs.cli import demo_scenario
 
         kw.setdefault("seed", seed)
-        sim = demo_scenario(instrument=prof.attach, **kw)
-        prof.detach(sim)
-    elif scenario == "chaos":
-        from repro.robust.chaos import run_chaos
+        prof.detach(demo_scenario(instrument=prof.attach, **kw))
+        ok = True
+    else:
+        from repro.scenarios import run_chaos
 
         holder: Dict[str, Any] = {}
 
@@ -340,42 +351,10 @@ def profile_scenario(scenario: str, seed: int = 1, **kw: Any) -> Dict[str, Any]:
             holder["sim"] = sim
             prof.attach(sim)
 
-        kw.setdefault("duration", 60.0)
-        kw.setdefault("total", 30)
-        report = run_chaos(seed, instrument=instrument, **kw)
+        report = run_chaos(target.name, seed, instrument=instrument,
+                           **{**target.profile_defaults, **kw})
         prof.detach(holder["sim"])
         ok = report["ok"]
-    elif scenario == "overload":
-        from repro.robust.chaos import run_overload
-
-        holder = {}
-
-        def instrument(sim):
-            holder["sim"] = sim
-            prof.attach(sim)
-
-        kw.setdefault("duration", 24.0)
-        kw.setdefault("saturation", 3.0)
-        report = run_overload(seed, instrument=instrument, **kw)
-        prof.detach(holder["sim"])
-        ok = report["ok"]
-    elif scenario == "bulk":
-        from repro.robust.chaos import run_bulk_chaos
-
-        holder = {}
-
-        def instrument(sim):
-            holder["sim"] = sim
-            prof.attach(sim)
-
-        kw.setdefault("object_kb", 1024)
-        report = run_bulk_chaos(seed, instrument=instrument, **kw)
-        prof.detach(holder["sim"])
-        ok = report["ok"]
-    else:
-        raise ValueError(
-            f"unknown profile scenario {scenario!r} (known: {PROFILE_SCENARIOS})"
-        )
     return {
         "scenario": scenario,
         "seed": seed,

@@ -1,4 +1,4 @@
-"""Robustness primitives: unified retries, overload control, chaos.
+"""Robustness primitives: unified retries, overload control, chaos CLI.
 
 The paper promises "long-running, reliable, fault-tolerant" applications
 (§1); this package holds the machinery the reproduction uses to *earn*
@@ -11,9 +11,10 @@ that adjective rather than assert it:
   circuit breakers, and two-lane bounded ingress queues, so congestion
   and slow hosts degrade throughput instead of triggering false death
   declarations and respawn storms.
-* :mod:`repro.robust.chaos` — a seeded fault-injection harness that runs
-  a checkpointing workload under host churn, link cuts, partitions, and
-  overload, and checks end-to-end invariants after quiescence.
+* :mod:`repro.robust.cli` — ``python -m repro chaos``: seeded
+  fault-injection runs of the :mod:`repro.scenarios` (host churn, link
+  cuts, partitions, overload, gray faults) that check end-to-end
+  invariants after quiescence.
 """
 
 from repro.robust.retry import RetryError, RetryPolicy

@@ -2,31 +2,22 @@
 
 Subcommands:
 
-* ``run`` — one run of a scenario. ``--scenario faults`` (default)
-  builds the star site, drives the seeded fault schedule over the
-  checkpointing workload, and prints the fault timeline, recovery log,
-  and invariant table. ``--scenario overload`` saturates the same site
-  with bulk traffic instead (``--saturation N`` times capacity; pass
-  ``--static`` to disable the adaptive overload controls and see the
-  baseline behaviour) and checks that the control plane survives.
-  ``--scenario bulk`` distributes one object over the rack site's relay
-  tree while killing a relay head (and a leaf) mid-transfer, and checks
-  completion, digest verification, and exactly-once chunk commits.
-  ``--scenario heal`` partitions one catalog replica from the other two
-  for a minute of write/delete load — long enough that log compaction
-  runs behind the cut — then heals it and checks reconvergence, payload
-  bounds, and control-plane health (``--unbounded`` for the legacy
-  single-blob baseline, ``--blackout`` to crash all three replicas and
-  restore from durable snapshots instead). Exit status 0 iff every
-  invariant/criterion holds. ``--seed N`` picks the schedule; same
-  seed, same run.
+* ``run`` — one chaos run of a scenario (``--scenario``; the registry
+  in :mod:`repro.scenarios` lists them: faults, overload, bulk, gray,
+  heal, shard). Prints the scenario's report — fault schedule,
+  measurements, and its invariant/criteria table — and exits 0 iff
+  every check holds. ``--seed N`` picks the schedule; same seed, same
+  run. Each flag's help names the scenarios that use it, with their
+  defaults; a scenario ignores the flags it does not use. Baselines:
+  ``--static`` (overload), ``--heartbeat-only`` (gray), ``--unbounded``
+  and ``--blackout`` (heal).
 * ``sweep`` — run several seeds back to back (default: the CI seeds)
   and print one summary line each; exit non-zero if any seed fails.
 * ``bench`` — the robustness benchmarks: ``--experiment gray`` (E15,
   differential detector vs heartbeat-only; writes
-  ``BENCH_gray_goodput.json``) or ``--experiment heal`` (E16, bounded
+  ``BENCH_gray_goodput.json``), ``--experiment heal`` (E16, bounded
   anti-entropy vs the unbounded blob plus blackout restore; writes
-  ``BENCH_heal_reconvergence.json``).
+  ``BENCH_heal_reconvergence.json``) or ``--experiment catalog`` (E18).
 """
 
 from __future__ import annotations
@@ -34,64 +25,52 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.robust.chaos import (
-    DEFAULT_SEEDS,
-    format_bulk_report,
-    format_gray_report,
-    format_heal_report,
-    format_overload_report,
-    format_report,
-    format_shard_report,
-    run_bulk_chaos,
-    run_chaos,
-    run_gray,
-    run_overload,
-    run_partition_heal,
-    run_shard_chaos,
+from repro.scenarios import DEFAULT_SEEDS, SCENARIOS, run_chaos
+
+#: Chaos value flags: (flag, scenario parameter, type, help). A scenario
+#: takes the flag iff the parameter is one of its defaults.
+VALUE_FLAGS = (
+    ("--workers", "n_workers", int, "worker hosts"),
+    ("--steps", "total", int, "work units per task"),
+    ("--duration", "duration", float, "simulated-seconds budget"),
+    ("--saturation", "saturation", float,
+     "offered load as a multiple of site capacity"),
 )
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _defaults_help(param: str) -> str:
+    """The scenarios that use *param*, with the value each run uses by
+    default (and under any switch that changes it)."""
+    parts = []
+    for sc in SCENARIOS.values():
+        if param not in sc.defaults:
+            continue
+        base = sc.params()[param]
+        text = f"{sc.name} {base:g}"
+        for sw in sc.switches:
+            alt = sc.params(**{sw.param: sw.value})[param]
+            if alt != base:
+                text += f" ({alt:g} with {sw.name})"
+        if param in sc.limits:
+            text += f", at most {sc.limits[param]}"
+        parts.append(text)
+    return "default: " + "; ".join(parts)
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario",
-                   choices=("faults", "overload", "bulk", "gray", "heal",
-                            "shard"),
-                   default="faults",
-                   help="faults: crash/partition chaos (default); "
-                        "overload: bulk saturation, no crashes; "
-                        "bulk: relay-tree distribution with mid-transfer kills; "
-                        "gray: zombie replica, clock skew, corruption, "
-                        "one-way links — nothing fail-stop; "
-                        "heal: replica partitioned past the compaction "
-                        "horizon under write/delete load, then healed; "
-                        "shard: sharded catalog splitting under write load "
-                        "while a shard replica crashes and a worker is "
-                        "partitioned")
-    p.add_argument("--workers", type=int, default=4, help="worker hosts (default 4)")
-    p.add_argument("--steps", type=int, default=60,
-                   help="[faults] work units per task (default 60)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated-seconds budget "
-                        "(default: 120 for faults, 32 for overload)")
-    p.add_argument("--no-churn", action="store_true",
-                   help="[faults] disable host crash/churn")
-    p.add_argument("--no-partitions", action="store_true",
-                   help="[faults] disable segment partitions (no zombie scenarios)")
-    p.add_argument("--saturation", type=float, default=5.0,
-                   help="[overload] offered load as a multiple of site "
-                        "capacity (default 5.0)")
-    p.add_argument("--static", action="store_true",
-                   help="[overload] baseline: fixed timeouts, no breakers, "
-                        "no priority lanes")
-    p.add_argument("--heartbeat-only", action="store_true",
-                   help="[gray] baseline: health boards inert, Guardian "
-                        "trusts lapsed leases without probing")
-    p.add_argument("--unbounded", action="store_true",
-                   help="[heal] baseline: legacy single-blob rc.sync on the "
-                        "control lane, no compaction, no payload bound")
-    p.add_argument("--blackout", action="store_true",
-                   help="[heal] crash all three replicas at once instead of "
-                        "partitioning; the catalog must come back from the "
-                        "durable snapshots + journals")
+    p.add_argument("--scenario", choices=list(SCENARIOS), default="faults",
+                   help="; ".join(f"{sc.name}: {sc.summary}"
+                                  for sc in SCENARIOS.values()))
+    for flag, param, typ, text in VALUE_FLAGS:
+        p.add_argument(flag, type=typ, default=None,
+                       help=f"{text} ({_defaults_help(param)})")
+    for sc in SCENARIOS.values():
+        for sw in sc.switches:
+            p.add_argument(sw.name, action="store_true", help=f"[{sc.name}] {sw.help}")
     p.add_argument("--obs-sample", type=float, default=None, metavar="RATE",
                    help="enable tracing at this sampling rate (1.0 = every "
                         "record, 0.01 = 1-in-100; default: tracing off)")
@@ -100,69 +79,26 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                         "JSON (diffable with `python -m repro obs diff`)")
 
 
+def _overrides(args) -> dict:
+    """The scenario parameters the command line sets."""
+    sc = SCENARIOS[args.scenario]
+    kw = {}
+    for flag, param, _, _ in VALUE_FLAGS:
+        value = getattr(args, _dest(flag))
+        if value is not None and param in sc.defaults:
+            kw[param] = value
+    for sw in sc.switches:
+        if getattr(args, _dest(sw.name)):
+            kw[sw.param] = sw.value
+    return kw
+
+
 def _run_one(seed: int, args) -> dict:
     holder = {}
-    instrument = (
-        (lambda sim: holder.setdefault("sim", sim))
-        if getattr(args, "export", None) else None
-    )
-    if args.scenario == "bulk":
-        report = run_bulk_chaos(
-            seed,
-            duration=args.duration if args.duration is not None else 60.0,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "overload":
-        report = run_overload(
-            seed,
-            saturation=args.saturation,
-            adaptive=not args.static,
-            instrument=instrument,
-            n_workers=args.workers,
-            duration=args.duration if args.duration is not None else 32.0,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "gray":
-        report = run_gray(
-            seed,
-            n_workers=args.workers,
-            total=args.steps,
-            duration=args.duration if args.duration is not None else 40.0,
-            differential=not args.heartbeat_only,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "heal":
-        report = run_partition_heal(
-            seed,
-            n_workers=args.workers,
-            duration=args.duration,
-            bounded=not args.unbounded,
-            blackout=args.blackout,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    elif args.scenario == "shard":
-        report = run_shard_chaos(
-            seed,
-            n_workers=min(args.workers, 3),
-            duration=args.duration if args.duration is not None else 90.0,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    else:
-        report = run_chaos(
-            seed,
-            n_workers=args.workers,
-            total=args.steps,
-            duration=args.duration if args.duration is not None else 120.0,
-            churn=not args.no_churn,
-            partitions=not args.no_partitions,
-            instrument=instrument,
-            obs_sample=args.obs_sample,
-        )
-    if getattr(args, "export", None) and holder.get("sim") is not None:
+    instrument = (lambda sim: holder.setdefault("sim", sim)) if args.export else None
+    report = run_chaos(args.scenario, seed, instrument=instrument,
+                       obs_sample=args.obs_sample, **_overrides(args))
+    if args.export and holder.get("sim") is not None:
         from repro.obs.report import save_export
 
         save_export(holder["sim"].obs.export(), args.export)
@@ -310,85 +246,15 @@ def main(argv: Optional[List[str]] = None) -> int:
               and s["false_deaths_differential"] == 0)
         return 0 if ok else 1
 
+    scenario = SCENARIOS[args.scenario]
     if args.cmd == "run":
         report = _run_one(args.seed, args)
-        if args.scenario == "bulk":
-            print(format_bulk_report(report))
-        elif args.scenario == "overload":
-            print(format_overload_report(report))
-        elif args.scenario == "gray":
-            print(format_gray_report(report))
-        elif args.scenario == "heal":
-            print(format_heal_report(report))
-        elif args.scenario == "shard":
-            print(format_shard_report(report))
-        else:
-            print(format_report(report))
+        print(scenario.format(report))
         return 0 if report["ok"] else 1
     failures = 0
     for seed in args.seeds:
         report = _run_one(seed, args)
-        if args.scenario == "bulk":
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"completed={report['completed']}/{report['hosts']} "
-                f"crashes={report['crashes']} "
-                f"retries={report['chunk_retries']} "
-                f"goodput={report['aggregate_goodput'] / 1e6:.1f}MB/s "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "overload":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"goodput={report['goodput_ops_s']:.1f}/s "
-                f"control_p99={report['control_p99_s'] * 1000:.0f}ms "
-                f"deaths={report['deaths_declared']} "
-                f"hb_failed={report['heartbeats_failed']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "heal":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            rc = report["reconverge_s"]
-            p99 = report["control_p99"]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"reconverge={'%.2fs' % rc if rc is not None else 'never'} "
-                f"max_batch={report['max_sync_batch']:.0f} "
-                f"ctl_p99={'%.0fms' % (p99 * 1000) if p99 is not None else 'n/a'} "
-                f"hb_fo={report['heartbeat_failovers']} "
-                f"resurrected={len(report['resurrected'])} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "shard":
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"splits={report['splits']} epoch={report['epoch']} "
-                f"redirects={report['redirects']} "
-                f"handoffs={report['handoffs']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        elif args.scenario == "gray":
-            bad = [name for name, ok, _ in report["criteria"] if not ok]
-            det = report["detection_s"]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"goodput={report['goodput_ops_s']:.1f}/s "
-                f"detect={'%.2fs' % det if det is not None else 'never'} "
-                f"false_deaths={report['false_lease_deaths']} "
-                f"saved={report['probe_saved']} "
-                + (f"failed: {bad}" if bad else "")
-            )
-        else:
-            bad = [name for name, ok, _ in report["invariants"] if not ok]
-            print(
-                f"seed {seed:4d}: {'OK  ' if report['ok'] else 'FAIL'} "
-                f"recoveries={len(report['recoveries'])} "
-                f"fenced={report['msgs_fenced']} "
-                + (f"failed: {bad}" if bad else "")
-            )
+        print(scenario.sweep_line(seed, report))
         failures += 0 if report["ok"] else 1
     return 0 if failures == 0 else 1
 

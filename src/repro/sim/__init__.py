@@ -25,31 +25,27 @@ Example
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, defuse, waker
-from repro.sim.kernel import Simulator, TimerHandle
+from repro.sim.kernel import ProbeBus, Simulator, TimerHandle
 from repro.sim.process import Process
 from repro.sim.resources import Gate, PriorityStore, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.monitor import Counter, Probe, TimeSeries, TraceMonitor
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Event",
     "Gate",
     "Interrupt",
     "PriorityStore",
-    "Probe",
+    "ProbeBus",
     "Process",
     "Resource",
     "RngRegistry",
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
     "TimerHandle",
-    "TraceMonitor",
     "defuse",
     "waker",
 ]

@@ -85,6 +85,30 @@ class TimerHandle:
         return f"<TimerHandle {state} t={self.deadline} owner={self.owner!r}>"
 
 
+class ProbeBus:
+    """Fan-out for semantic probe events (the :attr:`Simulator.probes` slot).
+
+    Deliberately minimal: subscribers are called synchronously, in
+    subscription order, from inside the emitting component. Oracle
+    callbacks must therefore be O(1) and must never raise — they record
+    violations instead (an exception here would surface inside an
+    unrelated component's ``except`` clause and be swallowed or
+    misattributed).
+    """
+
+    __slots__ = ("_subs",)
+
+    def __init__(self) -> None:
+        self._subs: List[Callable[[str, Dict[str, Any]], None]] = []
+
+    def subscribe(self, fn: Callable[[str, Dict[str, Any]], None]) -> None:
+        self._subs.append(fn)
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        for fn in self._subs:
+            fn(kind, fields)
+
+
 class Simulator:
     """Owns virtual time, the event queue, and the random-stream registry.
 
@@ -121,7 +145,7 @@ class Simulator:
         #: Pluggable same-timestamp tie-breaker (None = FIFO insertion
         #: order). See :meth:`set_scheduler`.
         self._scheduler = None
-        #: Optional probe bus (:class:`repro.check.ProbeBus`): when set,
+        #: Optional probe bus (:class:`ProbeBus`): when set,
         #: instrumented components emit semantic events (context starts,
         #: envelope sends/deliveries, fence writes, catalog applies) that
         #: the model-checking oracles consume. None costs one attribute

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.check.explore import (
-    ExplorationScheduler,
-    FaultEvent,
-    sample_fault_plan,
-    seeded_bug,
-)
+from repro.check.explore import ExplorationScheduler, FaultEvent, seeded_bug
 from repro.guardian.guardian import Guardian
+from repro.scenarios import sample_fault_plan
 from repro.sim import Simulator
 from repro.sim.kernel import URGENT
 

@@ -2,15 +2,10 @@
 
 from dataclasses import dataclass
 
-from repro.check.oracles import (
-    ConvergenceOracle,
-    DeliveryOracle,
-    ProbeBus,
-    SingleOwnerOracle,
-)
+from repro.check.oracles import ConvergenceOracle, DeliveryOracle, SingleOwnerOracle
 from repro.daemon.tasks import TaskState
 from repro.rcds.records import RCStore
-from repro.sim import Simulator
+from repro.sim import ProbeBus, Simulator
 
 
 def test_probe_bus_fans_out_in_subscription_order():

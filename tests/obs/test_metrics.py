@@ -2,7 +2,6 @@
 
 import math
 import random
-import statistics
 
 import pytest
 
@@ -80,19 +79,6 @@ def test_histogram_single_value_clamps_to_observed():
     # The bucket bound may overshoot; clamping pins it to the exact max.
     assert h.p50 == 0.37
     assert h.p99 == 0.37
-
-
-def test_welford_probe_matches_reference():
-    """Probe's streaming mean/variance vs the stdlib batch reference."""
-    from repro.sim import Probe
-
-    rng = random.Random(99)
-    values = [rng.gauss(5.0, 2.0) for _ in range(1000)]
-    p = Probe("x")
-    for v in values:
-        p.observe(v)
-    assert p.mean == pytest.approx(statistics.fmean(values))
-    assert p.variance == pytest.approx(statistics.variance(values))
 
 
 def test_snapshot_and_export_shapes():

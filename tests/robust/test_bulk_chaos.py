@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.robust.chaos import DEFAULT_SEEDS, format_bulk_report, run_bulk_chaos
+from repro.scenarios import DEFAULT_SEEDS, SCENARIOS, run_chaos
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS[:2])
 def test_bulk_chaos_invariants_hold(seed):
-    report = run_bulk_chaos(seed)
-    assert report["ok"], format_bulk_report(report)
+    report = run_chaos("bulk", seed)
+    assert report["ok"], SCENARIOS["bulk"].format(report)
     # The run must actually have exercised failover, not just idled: the
     # assassin kills both victims strictly mid-object (progress-triggered,
     # so this holds on every seed), and their fetches must resume.
@@ -20,16 +20,16 @@ def test_bulk_chaos_invariants_hold(seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS[2:])
 def test_bulk_chaos_invariants_hold_slow(seed):
-    report = run_bulk_chaos(seed)
-    assert report["ok"], format_bulk_report(report)
+    report = run_chaos("bulk", seed)
+    assert report["ok"], SCENARIOS["bulk"].format(report)
 
 
 def test_bulk_chaos_is_seed_deterministic():
-    a = run_bulk_chaos(2)
-    b = run_bulk_chaos(2)
+    a = run_chaos("bulk", 2)
+    b = run_chaos("bulk", 2)
     assert a["events"] == b["events"]
     assert a["killed"] == b["killed"]
     assert a["chunk_commits"] == b["chunk_commits"]
     assert a["elapsed"] == b["elapsed"]
     assert a["ok"] and b["ok"]
-    assert run_bulk_chaos(3)["events"] != a["events"]
+    assert run_chaos("bulk", 3)["events"] != a["events"]

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.robust.chaos import DEFAULT_SEEDS, format_report, run_chaos
+from repro.scenarios import DEFAULT_SEEDS, SCENARIOS, run_chaos
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
 def test_chaos_invariants_hold(seed):
-    report = run_chaos(seed)
-    assert report["ok"], format_report(report)
+    report = run_chaos("faults", seed)
+    assert report["ok"], SCENARIOS["faults"].format(report)
     # The run must actually have exercised self-healing, not just idled.
     assert report["recoveries"], "fault schedule produced no recoveries"
     for rec in report["recoveries"]:
@@ -17,8 +17,8 @@ def test_chaos_invariants_hold(seed):
 
 
 def test_chaos_is_seed_deterministic():
-    a = run_chaos(2)
-    b = run_chaos(2)
+    a = run_chaos("faults", 2)
+    b = run_chaos("faults", 2)
     # The fault schedule (and hence the injector's event log) is wholly
     # seed-driven, and URN/incarnation counters are per-Simulator, so two
     # same-seed runs agree on *everything*: fault timing, which tasks
@@ -31,7 +31,7 @@ def test_chaos_is_seed_deterministic():
     assert a["recoveries"] == b["recoveries"]
     assert a["msgs_fenced"] == b["msgs_fenced"]
     assert a["ok"] and b["ok"]
-    assert run_chaos(3)["events"] != a["events"]
+    assert run_chaos("faults", 3)["events"] != a["events"]
 
 
 def test_chaos_mttr_bounded_by_detection_window():
@@ -42,7 +42,7 @@ def test_chaos_mttr_bounded_by_detection_window():
     Budget: quorum confirm + fence write + checkpoint fetch (with
     retries) + RM placement + up to 5 s polling for the successor's
     registration — comfortably under 8 s even mid-churn."""
-    report = run_chaos(1)
-    assert report["ok"], format_report(report)
+    report = run_chaos("faults", 1)
+    assert report["ok"], SCENARIOS["faults"].format(report)
     for rec in report["recoveries"]:
         assert rec["recovered_at"] - rec["detected_at"] < 8.0

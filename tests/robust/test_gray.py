@@ -10,13 +10,13 @@ sweep, not tier-1.
 
 import pytest
 
-from repro.robust.chaos import run_gray
+from repro.scenarios import run_chaos
 
 pytestmark = pytest.mark.slow
 
 
 def test_gray_differential_seed1_passes_all_criteria():
-    report = run_gray(1, flight=False)
+    report = run_chaos("gray", 1, flight=False)
     assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
     assert report["false_lease_deaths"] == 0
     assert report["corrupt_delivered"] == 0
@@ -26,7 +26,7 @@ def test_gray_differential_seed1_passes_all_criteria():
 
 
 def test_gray_heartbeat_only_baseline_exhibits_the_failure():
-    report = run_gray(1, differential=False, flight=False)
+    report = run_chaos("gray", 1, differential=False, flight=False)
     # The baseline never quarantines the zombie...
     assert report["detection_s"] is None
     # ...and declares healthy hosts dead off their lapsed leases.

@@ -12,13 +12,13 @@ not tier-1.
 
 import pytest
 
-from repro.robust.chaos import run_partition_heal
+from repro.scenarios import run_chaos
 
 pytestmark = pytest.mark.slow
 
 
 def test_heal_bounded_seed1_passes_all_criteria():
-    report = run_partition_heal(1, flight=False)
+    report = run_chaos("heal", 1, flight=False)
     assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
     assert report["reconverge_s"] is not None
     assert report["max_sync_batch"] <= report["bound"]
@@ -35,7 +35,7 @@ def test_heal_bounded_seed1_passes_all_criteria():
 
 
 def test_heal_unbounded_baseline_exhibits_the_storm():
-    report = run_partition_heal(1, bounded=False, flight=False)
+    report = run_chaos("heal", 1, bounded=False, flight=False)
     # One giant blob instead of bounded batches...
     assert report["max_sync_batch"] > 1000
     # ...which visibly damages the control lane during the heal window.
@@ -45,7 +45,7 @@ def test_heal_unbounded_baseline_exhibits_the_storm():
 
 
 def test_heal_blackout_restores_from_durable_snapshots():
-    report = run_partition_heal(1, blackout=True, flight=False)
+    report = run_chaos("heal", 1, blackout=True, flight=False)
     assert report["ok"], [n for n, ok, _ in report["criteria"] if not ok]
     stats = report["replica_stats"]
     assert all(s["restores"] == 1 for s in stats.values())

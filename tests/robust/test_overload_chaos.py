@@ -11,7 +11,7 @@ import pytest
 from repro.core.checkpoint import checkpoint_to_files
 from repro.core.environment import SnipeEnvironment
 from repro.daemon.tasks import TaskSpec
-from repro.robust.chaos import run_overload
+from repro.scenarios import run_chaos
 
 
 def test_guardian_does_not_declare_overloaded_host_dead():
@@ -55,7 +55,7 @@ def test_guardian_does_not_declare_overloaded_host_dead():
 def test_overload_scenario_adaptive_keeps_control_plane_clean():
     """E12 smoke at 5x saturation: zero false deaths, zero lost
     heartbeats, bounded control p99."""
-    report = run_overload(seed=2, saturation=5.0, adaptive=True)
+    report = run_chaos("overload", 2, saturation=5.0, adaptive=True)
     assert report["deaths_declared"] == 0
     assert report["recoveries"] == 0
     assert report["heartbeats_failed"] == 0
@@ -70,8 +70,8 @@ def test_overload_scenario_adaptive_keeps_control_plane_clean():
 
 
 def test_overload_scenario_is_seed_deterministic():
-    a = run_overload(seed=4, saturation=3.0, adaptive=True)
-    b = run_overload(seed=4, saturation=3.0, adaptive=True)
+    a = run_chaos("overload", 4, saturation=3.0, adaptive=True)
+    b = run_chaos("overload", 4, saturation=3.0, adaptive=True)
     for key in ("goodput_ops_s", "control_p99_s", "deaths_declared",
                 "heartbeats_ok", "heartbeats_failed", "load"):
         assert a[key] == b[key]
@@ -80,6 +80,6 @@ def test_overload_scenario_is_seed_deterministic():
 def test_overload_static_baseline_shows_the_failure_mode():
     """Fixed timeouts at 5x saturation lose heartbeats — the regression
     guard that keeps the E12 comparison meaningful."""
-    report = run_overload(seed=1, saturation=5.0, adaptive=False)
+    report = run_chaos("overload", 1, saturation=5.0, adaptive=False)
     assert report["heartbeats_failed"] > 0
     assert not report["ok"]

@@ -147,17 +147,9 @@ def _tracking_simulators():
 
 def _run_report(case: Case) -> Dict:
     if case.mode == "chaos":
-        from repro.robust import chaos
+        from repro.scenarios import run_chaos
 
-        runner = {
-            "faults": chaos.run_chaos,
-            "overload": chaos.run_overload,
-            "bulk": chaos.run_bulk_chaos,
-            "gray": chaos.run_gray,
-            "heal": chaos.run_partition_heal,
-            "shard": chaos.run_shard_chaos,
-        }[case.scenario]
-        return runner(case.seed, **case.kwargs)
+        return run_chaos(case.scenario, case.seed, **case.kwargs)
     from repro.check.explore import run_check
 
     return run_check(scenario=case.scenario, seed=case.seed, **case.kwargs)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, SimulationError, Simulator, defuse
 
 
 def test_clock_starts_at_zero():
@@ -306,3 +306,32 @@ def test_event_callback_after_processed_runs_immediately():
     seen = []
     ev.add_callback(lambda e: seen.append(e.value))
     assert seen == ["v"]
+
+
+def test_defuse_suppresses_background_crash():
+    sim = Simulator()
+
+    def bad(sim):
+        yield sim.timeout(1)
+        raise RuntimeError("expected failure")
+
+    defuse(sim.process(bad(sim)))
+    sim.run()  # no raise: the failure was observed by the defuse callback
+
+
+def test_condition_failure_propagates():
+    sim = Simulator()
+
+    def bad(sim):
+        yield sim.timeout(1)
+        raise ValueError("child died")
+
+    def waiter(sim, p):
+        try:
+            yield sim.all_of([p, sim.timeout(5)])
+        except ValueError as exc:
+            return str(exc)
+
+    p = sim.process(bad(sim))
+    w = sim.process(waiter(sim, p))
+    assert sim.run(until=w) == "child died"

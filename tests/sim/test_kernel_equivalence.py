@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.oracles import ProbeBus
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import ProbeBus, Simulator
 from tests.fingerprint import fingerprint, freeze
 
 #: Seeds the full-run fingerprint comparison sweeps. The ISSUE asks for
@@ -136,9 +135,9 @@ def test_run_check_identical_across_kernels(monkeypatch, probe_recorder,
 # ---------------------------------------------------------------------------
 
 def _chaos_fingerprint(seed: int, records) -> str:
-    from repro.robust.chaos import run_chaos
+    from repro.scenarios import run_chaos
 
-    report = run_chaos(seed, n_workers=3, total=24, duration=50.0)
+    report = run_chaos("faults", seed, n_workers=3, total=24, duration=50.0)
     return fingerprint({"report": report, "probes": list(records)})
 
 
