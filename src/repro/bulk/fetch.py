@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Strikes before a source is dropped from the pool for this transfer.
 MAX_STRIKES = 3
 
+#: Chunk workers per transfer.
+PARALLEL = 4
+
 #: Selection weights by proximity: an explicit hint (the relay parent),
 #: a peer on a shared segment, anything farther. Weighted — rather than
 #: strict-priority — selection keeps a trickle of requests on distant
@@ -85,17 +88,14 @@ class BulkFetcher:
         rc: RCClient,
         service: "BulkService",
         secret: Optional[bytes] = None,
-        parallel: int = 4,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.sim = host.sim
         self.host = host
         self.rc = rc
         self.service = service
         self.secret = secret
-        self.parallel = parallel
         #: Rounds of map resolution; chunk-level retry is per source.
-        self.retry = retry or RetryPolicy(attempts=3, base_delay=0.2, deadline=5.0)
+        self.retry = RetryPolicy(attempts=3, base_delay=0.2, deadline=5.0)
         self._rpc = RpcClient(host, secret=secret)
         self._rng = host.sim.rng.stream(f"bulk-fetch.{host.name}")
         self.chunk_retries = 0
@@ -213,7 +213,7 @@ class BulkFetcher:
         }
         procs = []
         if state["queue"]:
-            for w in range(min(self.parallel, len(state["queue"]))):
+            for w in range(min(PARALLEL, len(state["queue"]))):
                 procs.append(self.sim.process(
                     self._worker(name, state), name=f"bulk-w{w}:{name}"))
             refresher = self.sim.process(

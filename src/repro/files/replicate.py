@@ -8,7 +8,8 @@
 
 Policy implemented: every local file is pushed to peers until it has at
 least ``redundancy`` registered locations; files whose read rate exceeds
-``hot_threshold`` gets/second earn extra replicas up to ``max_replicas``.
+:data:`HOT_THRESHOLD` gets/second earn extra replicas up to
+:data:`MAX_REPLICAS`.
 Over-replicated cold files are trimmed (never below the target, and a
 server only deletes its *own* replica).
 """
@@ -25,6 +26,12 @@ from repro.sim.errors import Interrupt
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
+#: Replica count a hot file is expanded to.
+MAX_REPLICAS = 5
+
+#: Gets per second above which a file counts as hot.
+HOT_THRESHOLD = 10.0
+
 
 class ReplicationDaemon:
     """One per file server; wakes periodically and enforces the policy."""
@@ -33,16 +40,12 @@ class ReplicationDaemon:
         self,
         server: FileServer,
         redundancy: int = 2,
-        max_replicas: int = 5,
-        hot_threshold: float = 10.0,
         interval: float = 2.0,
         secret: Optional[bytes] = None,
     ) -> None:
         self.server = server
         self.sim = server.sim
         self.redundancy = redundancy
-        self.max_replicas = max_replicas
-        self.hot_threshold = hot_threshold
         self.interval = interval
         self._rpc = RpcClient(server.host, secret=secret)
         self._last_gets: Dict[str, int] = {}
@@ -76,8 +79,8 @@ class ReplicationDaemon:
         except Exception:
             return
         target = self.redundancy
-        if rate > self.hot_threshold:
-            target = self.max_replicas  # demand-driven expansion
+        if rate > HOT_THRESHOLD:
+            target = MAX_REPLICAS  # demand-driven expansion
         if len(locations) < target:
             # Push to a peer that lacks a replica.
             holders = {uri_mod.host_of(u) for u in locations}

@@ -58,16 +58,9 @@ __all__ = [
 class Observability:
     """One simulation's metrics registry + tracer, sharing a clock."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        trace: bool = False,
-        trace_capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.metrics = MetricsRegistry(clock=clock)
-        self.tracer = Tracer(
-            clock=clock, enabled=trace, capacity=trace_capacity, metrics=self.metrics
-        )
+        self.tracer = Tracer(clock=clock, metrics=self.metrics)
 
     def span(self, name: str, trace_id: Optional[int] = None, **tags: Any) -> Span:
         return self.tracer.span(name, trace_id=trace_id, **tags)

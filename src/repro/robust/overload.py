@@ -27,9 +27,9 @@ three primitives that separate "slow" from "dead":
   request would have timed out anyway, and dropping it *before* the
   server wastes service time on it is what keeps goodput up).
 
-Everything is tunable per simulation through :class:`OverloadConfig`,
-reached as the lazy ``sim.overload`` property; ``adaptive=False``
-restores the static-timeout behaviour and is the E12 baseline flag.
+Per simulation, :class:`OverloadConfig` (the lazy ``sim.overload``
+property) holds the E12 baseline switch: ``adaptive=False`` restores
+static timeouts, no breakers and no priority lanes.
 """
 
 from __future__ import annotations
@@ -72,30 +72,29 @@ def lane_for_request(req: Any) -> str:
     return BULK
 
 
+#: Adaptive RPC timeouts never drop below this fraction of the static
+#: default (guards against a lucky fast sample starving slow methods).
+TIMEOUT_FLOOR_FACTOR = 0.5
+
+#: ...and never exceed this, however congested the path looks.
+MAX_TIMEOUT = 30.0
+
+#: Bulk-lane bound for transport rx queues (backpressure beyond this).
+TRANSPORT_RX_CAPACITY = 512
+
+
 @dataclass
 class OverloadConfig:
-    """Per-simulation overload-control switches (see ``sim.overload``).
+    """Per-simulation overload-control settings (see ``sim.overload``).
 
-    ``adaptive=False`` freezes every timeout at its static default and is
-    the E12 baseline; ``breakers=False`` disables quarantine. Both exist
-    so experiments can measure each mechanism's contribution separately.
+    ``adaptive=False`` is the E12 baseline: every timeout frozen at its
+    static default, no circuit breakers, and every message on the bulk
+    lane (no priority classification).
     """
 
     adaptive: bool = True
-    breakers: bool = True
-    #: When False, every RPC is issued on the bulk lane (priority
-    #: classification off) — the static-baseline half of E12 together
-    #: with ``adaptive=False``/``breakers=False``.
-    lanes: bool = True
-    #: Adaptive RPC timeouts never drop below this fraction of the static
-    #: default (guards against a lucky fast sample starving slow methods).
-    timeout_floor_factor: float = 0.5
-    #: ...and never exceed this, however congested the path looks.
-    max_timeout: float = 30.0
     #: Bulk-lane bound for RPC servers (shed-oldest beyond this).
     server_bulk_capacity: int = 256
-    #: Bulk-lane bound for transport rx queues (backpressure beyond this).
-    transport_rx_capacity: int = 512
 
 
 class RttEstimator:
@@ -425,7 +424,7 @@ class AdaptiveTimeouts:
     :func:`estimator_key`. The *static* timeout (caller argument or the
     :data:`repro.robust.TIMEOUTS` default) is both the cold-start value
     and the anchor for the floor: an adaptive timeout lives in
-    ``[floor_factor·static, max_timeout]``.
+    ``[TIMEOUT_FLOOR_FACTOR·static, MAX_TIMEOUT]``.
     """
 
     config: OverloadConfig
@@ -436,8 +435,8 @@ class AdaptiveTimeouts:
         if est is None:
             est = self.estimators[key] = RttEstimator(
                 initial_rto=static,
-                min_rto=static * self.config.timeout_floor_factor,
-                max_rto=self.config.max_timeout,
+                min_rto=static * TIMEOUT_FLOOR_FACTOR,
+                max_rto=MAX_TIMEOUT,
             )
         return est
 

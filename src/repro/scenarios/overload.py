@@ -70,8 +70,6 @@ class Overload(WorkerScenario):
         def configure(sim):
             cfg = sim.overload
             cfg.adaptive = adaptive
-            cfg.breakers = adaptive
-            cfg.lanes = adaptive
             cfg.server_bulk_capacity = SERVER_BULK_CAPACITY
 
         return build_chaos_env(seed, p["n_workers"],

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.robust.health import PROBATION
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
     from repro.net.nic import NIC
@@ -78,7 +80,7 @@ class PathSelector:
         self.host.health.note_outcome(
             dst_host, ok, kind="srudp", iface=last[0] if last else "*"
         )
-        if not self.host.sim.overload.breakers:
+        if not self.host.sim.overload.adaptive:
             return
         if last is None:
             return
@@ -149,7 +151,7 @@ class PathSelector:
                 fallback = None
                 expires = float("inf")
                 quarantine = (
-                    self._breakers if self.host.sim.overload.breakers else None
+                    self._breakers if self.host.sim.overload.adaptive else None
                 )
                 health = self.host.health
                 for seg in shared:
@@ -171,7 +173,7 @@ class PathSelector:
                     # delivery failures) is demoted even while its breaker
                     # still thinks it's fine. Probation bounds the detour.
                     if health.iface_quarantined(dst_host, nic.iface):
-                        expires = min(expires, self.host.sim.now + health.probation)
+                        expires = min(expires, self.host.sim.now + PROBATION)
                         continue
                     return (nic, dst_ip, None), expires
                 if fallback is not None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, Observability, Tracer, load_jsonl
+from repro.obs import DEFAULT_CAPACITY, MetricsRegistry, Observability, Tracer, load_jsonl
 
 
 def make_tracer(**kw):
@@ -155,10 +155,11 @@ def test_maybe_trace_id_allocates_only_when_enabled():
 
 
 def test_observability_bundle_export():
-    obs = Observability(clock=lambda: 1.0, trace=True, trace_capacity=10)
+    obs = Observability(clock=lambda: 1.0)
+    obs.tracer.enabled = True
     obs.metrics.counter("x.ops").inc()
     obs.event("e")
     out = obs.export()
     assert out["counters"][0]["name"] == "x.ops"
     assert out["trace"] == {"records": 1, "dropped": 0, "sampled_out": 0,
-                            "capacity": 10}
+                            "capacity": DEFAULT_CAPACITY}

@@ -7,19 +7,27 @@ The load-bearing semantics, each pinned by a test:
   quarantinable on failed work alone;
 * ``iface_quarantined`` never falls back to the aggregate cell — a
   peer-wide quarantine must not condemn every sibling path at once;
-* hysteresis: quarantine needs ``min_samples`` and a score below the
+* hysteresis: quarantine needs ``MIN_SAMPLES`` and a score below the
   threshold, release needs recovery *above* a higher one or a lapsed
   probation window;
 * the heartbeat-only baseline (``enabled = False``) scores everything
   1.0 and quarantines nothing.
 """
 
-from repro.robust.health import APP_KINDS, KIND_WEIGHTS, HealthBoard
+from repro.robust import health
+from repro.robust.health import (
+    APP_KINDS,
+    KIND_WEIGHTS,
+    PROBATION,
+    QUARANTINE_BELOW,
+    RECOVER_ABOVE,
+    HealthBoard,
+)
 from repro.sim import Simulator
 
 
-def fresh(**kw):
-    return HealthBoard(Simulator(), owner="t", **kw)
+def fresh():
+    return HealthBoard(Simulator(), owner="t")
 
 
 def feed(board, peer, ok, kind, n, iface="*"):
@@ -36,7 +44,7 @@ def test_app_kinds_trump_transport():
     b = fresh()
     feed(b, "z", True, "srudp", 20)
     feed(b, "z", False, "rpc", 8)
-    assert b.score("z") < b.quarantine_below
+    assert b.score("z") < QUARANTINE_BELOW
     assert b.is_quarantined("z")
 
 
@@ -45,7 +53,7 @@ def test_transport_fills_in_without_app_evidence():
     quarantine — transport evidence counts when it is all there is."""
     b = fresh()
     feed(b, "p", False, "srudp", 6, iface="eth0")
-    assert b.score("p", "eth0") < b.quarantine_below
+    assert b.score("p", "eth0") < QUARANTINE_BELOW
     assert b.iface_quarantined("p", "eth0")
 
 
@@ -60,14 +68,16 @@ def test_iface_quarantined_never_falls_back_to_aggregate():
     assert not b.iface_quarantined("p", "eth0")  # strict check: no
 
 
-def test_min_samples_gate():
-    """A burst shorter than min_samples never quarantines — one lost
-    frame (or three) must not flap a peer. alpha=0.5 drives the score
+def test_min_samples_gate(monkeypatch):
+    """A burst shorter than MIN_SAMPLES (4) never quarantines — one lost
+    frame (or three) must not flap a peer. ALPHA=0.5 drives the score
     below threshold by the second failure, so the gate is the only
     thing holding the flag back."""
-    b = fresh(min_samples=4, alpha=0.5)
+    assert health.MIN_SAMPLES == 4
+    monkeypatch.setattr(health, "ALPHA", 0.5)
+    b = fresh()
     feed(b, "p", False, "rpc", 3)
-    assert b.score("p") < b.quarantine_below
+    assert b.score("p") < QUARANTINE_BELOW
     assert not b.is_quarantined("p")
     feed(b, "p", False, "rpc", 1)
     assert b.is_quarantined("p")
@@ -75,14 +85,14 @@ def test_min_samples_gate():
 
 def test_probation_then_recovery():
     """The flag clears after probation even at a low score (the peer
-    earns a re-probe), and successes above recover_above release it."""
-    b = fresh(probation=10.0)
+    earns a re-probe), and successes above RECOVER_ABOVE release it."""
+    b = fresh()
     feed(b, "p", False, "rpc", 8)
     assert b.is_quarantined("p")
-    b.sim.run(until=10.0)
+    b.sim.run(until=PROBATION)
     assert not b.is_quarantined("p")
     feed(b, "p", True, "rpc", 12)
-    assert b.score("p") > b.recover_above
+    assert b.score("p") > RECOVER_ABOVE
     assert not b.is_quarantined("p")
     assert [w for _, _, _, w in b.transitions] == ["quarantine", "release"]
 

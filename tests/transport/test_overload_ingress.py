@@ -1,19 +1,20 @@
 """Bounded transport ingress: backpressure, lanes, and path quarantine."""
 
 from repro.rpc import Request
-from repro.transport import SrudpEndpoint
+from repro.transport import SrudpEndpoint, multicast, srudp
 from repro.transport.multicast import EthernetMulticast
 
 from .conftest import make_lan
 
 
-def test_srudp_bounded_rx_backpressures_without_loss(lan):
+def test_srudp_bounded_rx_backpressures_without_loss(lan, monkeypatch):
     """A full bulk lane withholds the final ACK: the sender retransmits
     and every message is eventually delivered — bounded memory, no
     silent loss."""
     sim, topo, (a, b) = lan
     tx = SrudpEndpoint(a, 5000)
-    rx = SrudpEndpoint(b, 5000, rx_capacity=1)
+    monkeypatch.setattr(srudp, "TRANSPORT_RX_CAPACITY", 1)
+    rx = SrudpEndpoint(b, 5000)
     got = []
 
     def slow_consumer():
@@ -33,10 +34,11 @@ def test_srudp_bounded_rx_backpressures_without_loss(lan):
     assert sim.obs.metrics.counter("transport.rx_drops", proto="srudp").value > 0
 
 
-def test_srudp_control_lane_is_admitted_when_bulk_is_full(lan):
+def test_srudp_control_lane_is_admitted_when_bulk_is_full(lan, monkeypatch):
     sim, topo, (a, b) = lan
     tx = SrudpEndpoint(a, 5000)
-    rx = SrudpEndpoint(b, 5000, rx_capacity=1)
+    monkeypatch.setattr(srudp, "TRANSPORT_RX_CAPACITY", 1)
+    rx = SrudpEndpoint(b, 5000)
     sim.run(until=tx.send("h1", 5000, "bulk-0", 64))
     # Bulk lane now full (capacity 1, nobody consuming). A control-plane
     # request (daemon.fence is in CONTROL_METHODS) still gets through
@@ -50,10 +52,12 @@ def test_srudp_control_lane_is_admitted_when_bulk_is_full(lan):
     assert rx.rx_drops == 0
 
 
-def test_multicast_bounded_rx_repairs_after_drain():
+def test_multicast_bounded_rx_repairs_after_drain(monkeypatch):
     sim, topo, hosts = make_lan(n_hosts=3)
     tx = EthernetMulticast(hosts[0], 6000, "lan")
-    rx1 = EthernetMulticast(hosts[1], 6000, "lan", rx_capacity=1)
+    with monkeypatch.context() as m:
+        m.setattr(multicast, "TRANSPORT_RX_CAPACITY", 1)
+        rx1 = EthernetMulticast(hosts[1], 6000, "lan")
     rx2 = EthernetMulticast(hosts[2], 6000, "lan")
     got = {"h1": [], "h2": []}
 
@@ -114,7 +118,7 @@ def test_pathsel_breakers_disabled_by_config():
     from tests.transport.test_pathsel import dual_homed
 
     sim, topo, a, b, _ = dual_homed()
-    sim.overload.breakers = False
+    sim.overload.adaptive = False
     sel = SrudpEndpoint(a, 5000).paths
     sel.note_result("b", False)
     sel.note_result("b", False)
