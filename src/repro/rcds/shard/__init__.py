@@ -18,8 +18,7 @@ following the AMGA metadata catalog's federation design.
   the map, routes to owning replicas, retries through redirects, and
   scatter-gathers cross-shard prefix queries with pagination.
 * :mod:`repro.rcds.shard.director` — :class:`ShardManager`, the control
-  loop that publishes the map, splits shards past the size threshold,
-  and widens hot shards' replica groups on demand.
+  loop that publishes the map and splits shards past the size threshold.
 """
 
 from repro.rcds.shard.client import ShardedRCClient

@@ -127,15 +127,6 @@ class ShardMap:
                                 tuple(tuple(r) for r in replicas), parent=parent))
         return ShardMap(self.epoch + 1, shards)
 
-    def with_replicas(self, sid: str,
-                      replicas: Sequence[Tuple[str, int]]) -> "ShardMap":
-        """Replace a shard's replica group (demand-driven widening)."""
-        info = self.shards[sid]
-        shards = [s for s in self.shards.values() if s.sid != sid]
-        shards.append(ShardInfo(info.sid, info.prefixes,
-                                tuple(tuple(r) for r in replicas), info.parent))
-        return ShardMap(self.epoch + 1, shards)
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {"epoch": self.epoch,
