@@ -174,12 +174,6 @@ class Host:
                 return nic.address.ip
         return None
 
-    def nic_for_ip(self, ip: str) -> Optional["NIC"]:
-        for nic in self.nics.values():
-            if nic.address.ip == ip:
-                return nic
-        return None
-
     def nic_on_segment(self, segment_name: str) -> Optional["NIC"]:
         for nic in self.nics.values():
             if nic.segment.name == segment_name:
@@ -197,9 +191,6 @@ class Host:
 
     def unbind(self, proto: str, port: int) -> None:
         self._bindings.pop((proto, port), None)
-
-    def is_bound(self, proto: str, port: int) -> bool:
-        return (proto, port) in self._bindings
 
     def ephemeral_port(self) -> int:
         port = self._next_ephemeral

@@ -217,10 +217,6 @@ class KernelProfiler:
         rows.sort(key=lambda r: (-r["wall_ms"], r[field]))
         return rows
 
-    def top_subsystems(self, n: int = 3) -> List[str]:
-        """The *n* hottest subsystems by attributed wall-clock."""
-        return [r["subsystem"] for r in self._aggregate(0)[:n]]
-
     def export(self) -> Dict[str, Any]:
         by_sub = self._aggregate(0)
         return {

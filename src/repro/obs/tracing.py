@@ -64,10 +64,6 @@ class Span:
         self.end: Optional[float] = None
         self.outcome: Optional[str] = None
 
-    def annotate(self, **tags: Any) -> "Span":
-        self.tags.update(tags)
-        return self
-
     def finish(self, outcome: str = "ok") -> None:
         """Close the span (idempotent) and emit its trace record."""
         if self.end is not None:
