@@ -16,7 +16,7 @@ stores) cannot see:
 import pytest
 
 from repro.bench.e18_catalog_scale import _preload, _site
-from repro.rcds.client import QUORUM
+from repro.rcds.client import QUORUM, ConsistencyError
 
 
 def _federation(n_names, n_branches=4, split_threshold=None):
@@ -54,7 +54,7 @@ def test_sharded_client_routes_and_reads_preloaded_names():
 
 
 def test_split_plan_covers_every_branch_and_parent_drains():
-    # 900 names over 4 radix branches — more than split_sample (512), so
+    # 900 names over 4 radix branches — more than SPLIT_SAMPLE (512), so
     # a head-page sample would only ever see g0/g1/g2 and the plan would
     # leave every g3 name stranded on the parent (the pre-fix behaviour:
     # a permanent 225-name residual per replica).
@@ -127,6 +127,34 @@ def test_threshold_split_fires_and_moved_names_stay_readable():
     # Mid-migration misses are bounded: the fence redirects, the client
     # re-routes; only the install-in-flight window can read empty.
     assert reads["miss"] < reads["ok"] * 0.15
+
+
+def test_sessions_sharing_a_client_before_its_first_map_fetch():
+    """Sessions that start together on one fresh client route on its
+    epoch-0 map, where the root group owns every name, so the root
+    replicas bounce them. One session's map fetch lands first; the
+    others must re-route on the map it installed instead of failing
+    because their own forced refresh finds no newer epoch."""
+    env, mgr, parent, hosts = _federation(80)
+    sim = env.sim
+    client = env.rc_client(hosts[0])
+    got, errors = {}, []
+
+    def session(i):
+        yield sim.timeout(0.5)
+        uri = f"snipe://app/g{i % 4}/d00000/n{i:09d}"
+        try:
+            got[i] = yield client.lookup(uri)
+        except ConsistencyError as exc:
+            errors.append(str(exc))
+
+    for i in range(8):
+        sim.process(session(i), name=f"session:{i}")
+    sim.run(until=3.0)
+    assert mgr.map.epoch >= 1 and client.map.epoch == mgr.map.epoch
+    assert errors == []
+    assert sorted(got) == list(range(8))
+    assert all(got[i]["v"]["value"] == 0 for i in got)
 
 
 if __name__ == "__main__":
